@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -362,134 +361,6 @@ void emit_kernel_json() {
   copy_to_results("BENCH_kernel.json");
   std::printf("[BENCH_kernel.json: cycle loop %.0f MIPS (%.2fx), abs %.0f MIPS (%.2fx)]\n",
               best_ff, best_ff / kBaselineFaultFree, best_abs, best_abs / kBaselineAbs);
-}
-
-// ---- scheduler-kernel scaling record -----------------------------------------
-
-struct SchedPoint {
-  double mips = 0.0;
-  double ipc = 0.0;
-};
-
-/// One steady-state measurement of the given core configuration: simulated
-/// MIPS of the step() loop and the achieved IPC over the same window.
-SchedPoint sched_scaling_point(const cpu::CoreConfig& cfg, bool with_faults, u64 measure) {
-  const auto prof = workload::spec2006_profile("sjeng");
-  ReplaySource src(&kernel_trace_buffer());
-  timing::PathModelConfig pcfg{prof.seed, prof.fr_high_pct / 100.0, prof.fr_low_pct / 100.0};
-  const timing::FaultModel fm(pcfg, 0.97);
-  core::TimingErrorPredictor tep({}, &fm.environment());
-  cpu::Pipeline p(cfg, with_faults ? cpu::scheme_abs() : cpu::scheme_fault_free(), &src,
-                  with_faults ? &fm : nullptr, with_faults ? &tep : nullptr);
-  constexpr u64 kWarm = 30'000;
-  while (p.committed() < kWarm) p.step();
-  const u64 c0 = p.committed();
-  const Cycle y0 = p.now();
-  const auto t0 = std::chrono::steady_clock::now();
-  while (p.committed() < kWarm + measure) p.step();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double s = std::chrono::duration<double>(t1 - t0).count();
-  SchedPoint r;
-  r.mips = static_cast<double>(p.committed() - c0) / s;
-  r.ipc = static_cast<double>(p.committed() - c0) / static_cast<double>(p.now() - y0);
-  return r;
-}
-
-/// An honest machine around an IQ of `iq` entries: the ROB, register file
-/// and memory queues grow with the window so the issue queue is the resource
-/// actually being scaled (a 512-entry IQ behind a 128-entry ROB never fills).
-cpu::CoreConfig scaled_core(int iq, cpu::SchedKernel kernel) {
-  cpu::CoreConfig cfg;
-  cfg.sched_kernel = kernel;
-  cfg.iq_entries = iq;
-  cfg.rob_entries = std::max(cfg.rob_entries, iq);
-  cfg.phys_regs = cfg.rob_entries + 64;
-  cfg.lq_entries = std::max(cfg.lq_entries, cfg.rob_entries / 4);
-  cfg.sq_entries = cfg.lq_entries;
-  return cfg;
-}
-
-/// Writes BENCH_sched_scaling.json: simulated MIPS and achieved IPC against
-/// issue-queue size (32..512) for both scheduler kernels, fault-free and
-/// under the ABS scheme at 0.97 V, plus the per-size delay/issue-window
-/// speedup the docs derive the crossover point from.  VASIM_SCHED_REPS /
-/// VASIM_SCHED_COMMITS shrink the study for CI smoke runs.
-void emit_sched_scaling_json() {
-  if (env_u64("VASIM_JSON", 1) == 0) return;
-  const int reps = static_cast<int>(env_u64("VASIM_SCHED_REPS", 3));
-  const u64 measure = env_u64("VASIM_SCHED_COMMITS", 300'000);
-  constexpr int kSizes[] = {32, 64, 128, 256, 512};
-  constexpr cpu::SchedKernel kKernels[] = {cpu::SchedKernel::kIssueWindow,
-                                           cpu::SchedKernel::kDelayQueue};
-
-  struct Row {
-    const char* kernel;
-    const char* scheme;
-    int iq;
-    int rob;
-    SchedPoint pt;
-  };
-  std::vector<Row> rows;
-  for (const cpu::SchedKernel kernel : kKernels) {
-    for (const bool with_faults : {false, true}) {
-      for (const int iq : kSizes) {
-        const cpu::CoreConfig cfg = scaled_core(iq, kernel);
-        SchedPoint best;
-        for (int r = 0; r < reps; ++r) {
-          const SchedPoint p = sched_scaling_point(cfg, with_faults, measure);
-          if (p.mips > best.mips) best = p;
-        }
-        rows.push_back({cpu::to_string(kernel), with_faults ? "abs" : "fault-free", iq,
-                        cfg.rob_entries, best});
-        std::printf("[sched_scaling: %s/%s iq=%d  %.0f MIPS  ipc %.3f]\n",
-                    rows.back().kernel, rows.back().scheme, iq, best.mips, best.ipc);
-      }
-    }
-  }
-
-  const auto find_row = [&](const char* kernel, const char* scheme, int iq) -> const Row* {
-    for (const Row& r : rows) {
-      if (std::strcmp(r.kernel, kernel) == 0 && std::strcmp(r.scheme, scheme) == 0 &&
-          r.iq == iq) {
-        return &r;
-      }
-    }
-    return nullptr;
-  };
-
-  std::ofstream out("BENCH_sched_scaling.json");
-  if (!out) return;
-  char buf[256];
-  out << "{\n"
-      << "  \"bench\": \"sched_scaling\",\n"
-      << "  \"schema_version\": 1,\n"
-      << "  \"measure_commits\": " << measure << ",\n"
-      << "  \"points\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"kernel\": \"%s\", \"scheme\": \"%s\", \"iq\": %d, \"rob\": %d, "
-                  "\"mips\": %.0f, \"ipc\": %.4f}",
-                  i == 0 ? "" : ",", r.kernel, r.scheme, r.iq, r.rob, r.pt.mips, r.pt.ipc);
-    out << buf;
-  }
-  out << "\n  ],\n  \"speedup_delay_over_issue\": [";
-  bool first = true;
-  for (const char* scheme : {"fault-free", "abs"}) {
-    for (const int iq : kSizes) {
-      const Row* iw = find_row("issue-window", scheme, iq);
-      const Row* dq = find_row("delay-queue", scheme, iq);
-      if (iw == nullptr || dq == nullptr || iw->pt.mips <= 0.0) continue;
-      std::snprintf(buf, sizeof buf,
-                    "%s\n    {\"scheme\": \"%s\", \"iq\": %d, \"speedup\": %.3f}",
-                    first ? "" : ",", scheme, iq, dq->pt.mips / iw->pt.mips);
-      out << buf;
-      first = false;
-    }
-  }
-  out << "\n  ]\n}\n";
-  out.close();
-  copy_to_results("BENCH_sched_scaling.json");
 }
 
 // ---- timeline-sampling overhead record ---------------------------------------
@@ -878,7 +749,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   emit_stats_overhead_json();
   emit_kernel_json();
-  emit_sched_scaling_json();
   emit_timeline_json();
   emit_snapshot_json();
   emit_batch_json();

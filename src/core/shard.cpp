@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <istream>
 #include <map>
@@ -143,37 +141,6 @@ std::vector<unsigned char> hex_decode(const std::string& hex) {
     out.push_back(static_cast<unsigned char>((hi << 4) | lo));
   }
   return out;
-}
-
-// ---- JSON helpers (writer side mirrors sweep.cpp's conventions) ------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_f64(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 // ---- targeted fragment scanner ---------------------------------------------

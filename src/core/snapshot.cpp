@@ -129,7 +129,9 @@ void put_core_config(snap::Writer& w, const cpu::CoreConfig& c) {
   w.put_bool(c.l2_next_line_prefetch);
   w.put_bool(c.model_wrong_path);
   w.put_u64(c.watchdog_cycles);
-  w.put_u8(static_cast<u8>(c.sched_kernel));
+  // Former scheduler-kernel byte, kept so META bytes and warmup/cache keys
+  // stay unchanged; 0 was the issue-window kernel, the only one left.
+  w.put_u8(0);
 }
 
 cpu::CoreConfig get_core_config(snap::Reader& r) {
@@ -161,11 +163,11 @@ cpu::CoreConfig get_core_config(snap::Reader& r) {
   c.l2_next_line_prefetch = r.get_bool();
   c.model_wrong_path = r.get_bool();
   c.watchdog_cycles = r.get_u64();
-  const u8 kernel = r.get_u8();
-  if (kernel > static_cast<u8>(cpu::SchedKernel::kDelayQueue)) {
-    throw snap::SnapshotError("unknown scheduler kernel in snapshot");
+  if (r.get_u8() != 0) {
+    throw snap::SnapshotError(
+        "snapshot names a scheduler kernel other than issue-window (the delay-queue "
+        "kernel was removed)");
   }
-  c.sched_kernel = static_cast<cpu::SchedKernel>(kernel);
   return c;
 }
 

@@ -80,6 +80,8 @@ void fnv_result(u64& h, const RunResult& r) {
   }
 }
 
+}  // namespace
+
 // ---- JSON ------------------------------------------------------------------
 
 std::string json_escape(const std::string& s) {
@@ -110,8 +112,6 @@ std::string json_f64(double v) {
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
 }
-
-}  // namespace
 
 std::size_t sweep_workers_from_env() { return ThreadPool::default_worker_count(); }
 

@@ -157,6 +157,12 @@ class SweepRunner {
 /// standalone runs.
 [[nodiscard]] u64 result_checksum(const RunResult& result);
 
+/// JSON value writers shared by the sweep, shard-fragment and merged
+/// reports: a string body with quotes, backslashes and control characters
+/// escaped, and a double at full precision (`null` when not finite).
+[[nodiscard]] std::string json_escape(const std::string& s);
+[[nodiscard]] std::string json_f64(double v);
+
 /// Serializes a sweep as JSON: run identity, per-job metrics and wall
 /// times, aggregate wall time, worker count and checksum.
 void write_sweep_json(std::ostream& os, const std::string& name, const SweepReport& report);

@@ -1,32 +1,11 @@
 #include "src/cpu/config.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "src/isa/program.hpp"
 
 namespace vasim::cpu {
-
-const char* to_string(SchedKernel k) {
-  switch (k) {
-    case SchedKernel::kIssueWindow: return "issue-window";
-    case SchedKernel::kDelayQueue: return "delay-queue";
-  }
-  return "?";
-}
-
-bool sched_kernel_from_string(const char* name, SchedKernel& out) {
-  if (std::strcmp(name, "issue-window") == 0) {
-    out = SchedKernel::kIssueWindow;
-    return true;
-  }
-  if (std::strcmp(name, "delay-queue") == 0) {
-    out = SchedKernel::kDelayQueue;
-    return true;
-  }
-  return false;
-}
 
 namespace {
 [[nodiscard]] bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }

@@ -37,7 +37,6 @@
 #include "src/cpu/cache.hpp"
 #include "src/cpu/check_hooks.hpp"
 #include "src/cpu/config.hpp"
-#include "src/cpu/delay_sched.hpp"
 #include "src/cpu/fu_pool.hpp"
 #include "src/cpu/hooks.hpp"
 #include "src/cpu/observer.hpp"
@@ -211,9 +210,6 @@ class Pipeline {
   void process_events();
   void commit_stage();
   void select_stage();
-  /// select_stage body for SchedKernel::kDelayQueue: pop the bucket due this
-  /// cycle into the ready FIFO, then issue from the FIFO in policy order.
-  void delay_select_stage();
   void dispatch_stage();
   void fetch_stage();
 
@@ -223,9 +219,6 @@ class Pipeline {
   [[nodiscard]] bool load_may_issue(const InstState& load, bool* forwarded) const;
   /// Returns true when the instruction actually left the queue this cycle.
   bool issue_one(InstState& is, bool fwd);
-  /// Dispatch-time execution-latency estimate for the delay-tracking kernel:
-  /// class latency with loads assumed to hit the L1.
-  [[nodiscard]] Cycle exec_estimate(isa::OpClass op) const;
   /// Why no instruction can retire this cycle (CPI-stack attribution).
   [[nodiscard]] obs::CpiCause classify_empty_window() const;
   [[nodiscard]] obs::CpiCause classify_unretirable_head(const InstState& head);
@@ -346,13 +339,6 @@ class Pipeline {
   u64* cand_words_ = nullptr;     ///< select-stage candidate mask scratch
   RefetchInst* re_ = nullptr;     ///< squash-path refetch collection scratch
   u32 re_n_ = 0;
-  // Delay-tracking kernel state (initialized and serialized only when
-  // cfg_.sched_kernel == SchedKernel::kDelayQueue; baseline runs carry no
-  // extra bytes in their arena or snapshots).
-  bool delay_mode_ = false;
-  DelayQueue dq_;
-  u32* wake_slots_ = nullptr;     ///< newly-ready collection scratch (arena)
-  u32* ready_list_ = nullptr;     ///< ready-FIFO drain scratch (arena)
 
   // ---- cycle state ---------------------------------------------------------
   Cycle now_ = 0;

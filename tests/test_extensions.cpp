@@ -115,6 +115,12 @@ struct ConfigCase {
   int alus;
 };
 
+// Printed in place of the struct's bytes, which include the name pointer, so
+// that the test names are the same in every build and run.
+void PrintTo(const ConfigCase& c, std::ostream* os) {
+  *os << "issue " << c.issue_width << ", rob " << c.rob << ", iq " << c.iq << ", alus " << c.alus;
+}
+
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(ConfigSweep, CompletesAndStaysWithinStructuralBounds) {

@@ -59,6 +59,10 @@ struct BadSource {
   const char* text;
 };
 
+// Printed in place of the struct's pointer bytes so that the test names
+// (which carry the printed parameter) are the same in every build and run.
+void PrintTo(const BadSource& s, std::ostream* os) { *os << s.name; }
+
 class AssemblerErrors : public ::testing::TestWithParam<BadSource> {};
 
 TEST_P(AssemblerErrors, Raises) {

@@ -459,10 +459,9 @@ TEST(SchedAbsTimestamp, WrapUnderContinuousSlotFreezingStaysSound) {
 }
 
 // ---- ABS wrap and wheel squash-skip across issue-queue sizes -----------------
-// The delay-queue work raised the practical iq_entries ceiling to 512; the
-// 6-bit ABS timestamp and the wheel's per-bucket max_seq squash skip must
-// stay sound when the in-flight window is 1x, 4x and 8x the 64-value
-// timestamp space.
+// At 64, 256 and 512 entries the in-flight window is 1x, 4x and 8x the
+// 64-value timestamp space; the 6-bit ABS timestamp and the wheel's
+// per-bucket max_seq squash skip must stay sound at each size.
 
 class SchedAbsWrapAtSize : public ::testing::TestWithParam<int> {};
 

@@ -383,6 +383,28 @@ TEST(RunSnapshot, MetaCodecRoundTrips) {
   EXPECT_EQ(back.warmup_key, m.warmup_key);
 }
 
+TEST(RunSnapshot, CoreConfigCodecRejectsRemovedKernelByte) {
+  // The last byte once named the scheduler kernel. It is still written as 0
+  // (issue-window) so META bytes and warmup keys keep their old values; any
+  // other value is a snapshot from the removed delay-queue kernel.
+  snap::Writer w;
+  core::put_core_config(w, cpu::CoreConfig{});
+  std::vector<unsigned char> bytes = w.data();
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes.back(), 0u);
+
+  snap::Reader r(bytes);
+  const cpu::CoreConfig back = core::get_core_config(r);
+  EXPECT_TRUE(r.done());
+  snap::Writer again;
+  core::put_core_config(again, back);
+  EXPECT_EQ(again.data(), bytes);
+
+  bytes.back() = 1;
+  snap::Reader bad(bytes);
+  EXPECT_THROW((void)core::get_core_config(bad), snap::SnapshotError);
+}
+
 // ---- warmup keys -----------------------------------------------------------
 
 TEST(WarmupKey, GroupsExactlyTheShareableRuns) {

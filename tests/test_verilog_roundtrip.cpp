@@ -53,12 +53,19 @@ TEST(CrossValidation, GateLevelAluAgreesWithIsaExecutor) {
 }
 
 /// Builders under test for the structural-invariant sweep.
-using BuilderFn = std::function<Component()>;
+struct BuilderCase {
+  const char* name;
+  std::function<Component()> build;
+};
 
-class BuilderInvariants : public ::testing::TestWithParam<std::pair<const char*, BuilderFn>> {};
+// Printed in place of the pointer and std::function bytes so that the test
+// names are the same in every build and run.
+void PrintTo(const BuilderCase& b, std::ostream* os) { *os << b.name; }
+
+class BuilderInvariants : public ::testing::TestWithParam<BuilderCase> {};
 
 TEST_P(BuilderInvariants, NetlistIsWellFormedAndExportable) {
-  const Component c = GetParam().second();
+  const Component c = GetParam().build();
   const Netlist& n = c.netlist;
   // 1. IO bookkeeping matches the netlist.
   EXPECT_EQ(static_cast<int>(c.inputs.size()), n.num_inputs());
@@ -96,22 +103,20 @@ TEST_P(BuilderInvariants, NetlistIsWellFormedAndExportable) {
 INSTANTIATE_TEST_SUITE_P(
     AllBuilders, BuilderInvariants,
     ::testing::Values(
-        std::make_pair("alu32", BuilderFn([] { return build_simple_alu(32); })),
-        std::make_pair("alu8", BuilderFn([] { return build_simple_alu(8); })),
-        std::make_pair("issue_select", BuilderFn([] { return build_issue_select(32, 4); })),
-        std::make_pair("agen", BuilderFn([] { return build_agen(32, 16); })),
-        std::make_pair("forward_check", BuilderFn([] { return build_forward_check(4, 4, 7); })),
-        std::make_pair("multiplier", BuilderFn([] { return build_array_multiplier(8); })),
-        std::make_pair("lsq_cam", BuilderFn([] { return build_lsq_cam(24, 12); })),
-        std::make_pair("wakeup_cam", BuilderFn([] { return build_wakeup_cam({}); })),
-        std::make_pair("age_select", BuilderFn([] { return build_age_select({}); })),
-        std::make_pair("countdown", BuilderFn([] { return build_countdown({}); })),
-        std::make_pair("payload", BuilderFn([] { return build_payload({}); })),
-        std::make_pair("vte_addon", BuilderFn([] { return build_vte_addon({}); })),
-        std::make_pair("cdl", BuilderFn([] { return build_cdl({}); }))),
-    [](const ::testing::TestParamInfo<std::pair<const char*, BuilderFn>>& info) {
-      return info.param.first;
-    });
+        BuilderCase{"alu32", [] { return build_simple_alu(32); }},
+        BuilderCase{"alu8", [] { return build_simple_alu(8); }},
+        BuilderCase{"issue_select", [] { return build_issue_select(32, 4); }},
+        BuilderCase{"agen", [] { return build_agen(32, 16); }},
+        BuilderCase{"forward_check", [] { return build_forward_check(4, 4, 7); }},
+        BuilderCase{"multiplier", [] { return build_array_multiplier(8); }},
+        BuilderCase{"lsq_cam", [] { return build_lsq_cam(24, 12); }},
+        BuilderCase{"wakeup_cam", [] { return build_wakeup_cam({}); }},
+        BuilderCase{"age_select", [] { return build_age_select({}); }},
+        BuilderCase{"countdown", [] { return build_countdown({}); }},
+        BuilderCase{"payload", [] { return build_payload({}); }},
+        BuilderCase{"vte_addon", [] { return build_vte_addon({}); }},
+        BuilderCase{"cdl", [] { return build_cdl({}); }}),
+    [](const ::testing::TestParamInfo<BuilderCase>& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace vasim::circuit

@@ -2,11 +2,10 @@
 // through the pipeline, and reports simulated MIPS for the step() loop only
 // (no trace generation or construction in the timed region).
 //
-//   kernel_probe [--kernel issue-window|delay-queue] [--iq N] [--rob N]
-//                [--phys N] [--reps R]
+//   kernel_probe [--iq N] [--rob N] [--phys N] [--reps R]
 //
-// The knobs mirror the vasim CLI so the probe can time either scheduler
-// kernel at any issue-queue size (the same grid bench_micro sweeps).
+// The window knobs mirror the vasim CLI so the probe can time the scheduler
+// kernel at any issue-queue size.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,12 +65,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; i += 2) {
     const char* key = argv[i];
     const char* val = argv[i + 1];
-    if (std::strcmp(key, "--kernel") == 0) {
-      if (!cpu::sched_kernel_from_string(val, cfg.sched_kernel)) {
-        std::fprintf(stderr, "unknown scheduler kernel '%s'\n", val);
-        return 2;
-      }
-    } else if (std::strcmp(key, "--iq") == 0) {
+    if (std::strcmp(key, "--iq") == 0) {
       cfg.iq_entries = std::atoi(val);
     } else if (std::strcmp(key, "--rob") == 0) {
       cfg.rob_entries = std::atoi(val);
@@ -81,8 +75,7 @@ int main(int argc, char** argv) {
       reps = std::atoi(val);
     } else {
       std::fprintf(stderr,
-                   "usage: kernel_probe [--kernel issue-window|delay-queue] "
-                   "[--iq N] [--rob N] [--phys N] [--reps R]\n");
+                   "usage: kernel_probe [--iq N] [--rob N] [--phys N] [--reps R]\n");
       return 2;
     }
   }
@@ -106,7 +99,7 @@ int main(int argc, char** argv) {
     if (ff > best_ff) best_ff = ff;
     if (ab > best_abs) best_abs = ab;
   }
-  std::printf("kernel %s iq %d\n", cpu::to_string(cfg.sched_kernel), cfg.iq_entries);
+  std::printf("iq %d\n", cfg.iq_entries);
   std::printf("kernel_mips_fault_free %.0f\nkernel_mips_abs %.0f\n", best_ff, best_abs);
   return 0;
 }

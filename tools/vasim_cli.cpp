@@ -136,7 +136,7 @@ int usage() {
             << "  vasim run --bench <name> --scheme "
                "fault-free|razor|ep|abs|ffs|cds [--vdd V]\n"
             << "            [--instr N] [--warmup N] [--predictor tep|mre|tvp]\n"
-            << "            [--kernel issue-window|delay-queue] [--iq N] [--rob N] [--phys N]\n"
+            << "            [--iq N] [--rob N] [--phys N]\n"
             << "            [--kanata FILE] [--trace FILE] [--timeline FILE]\n"
             << "            [--timeline-interval K] [--stats] [--csv] [--cpi]\n"
             << "            [--dvfs static|reactive|predictive] [--epoch N]\n"
@@ -145,7 +145,7 @@ int usage() {
             << "  vasim run --from-snapshot FILE [--instr N] [--timeline FILE]\n"
             << "            [--stats] [--csv] [--cpi] [--progress] [--profile]\n"
             << "  vasim sweep --bench <name>|all [--instr N] [--warmup N] [--jobs N]\n"
-            << "              [--kernel issue-window|delay-queue] [--iq N] [--rob N] [--phys N]\n"
+            << "              [--iq N] [--rob N] [--phys N]\n"
             << "              [--batch B] [--shard i/N] [--json FILE] [--trace FILE]\n"
             << "              [--timeline-interval K] [--dvfs POLICY] [--epoch N]\n"
             << "              [--period-min P] [--period-max P] [--cpi] [--progress]\n"
@@ -187,13 +187,6 @@ core::RunnerConfig runner_config(const Args& args) {
     rc.predictor = core::PredictorKind::kTvp;
   }
   rc.timeline_interval = std::strtoull(args.get("timeline-interval", "0").c_str(), nullptr, 10);
-  if (args.has("kernel")) {
-    const std::string kname = args.get("kernel", "");
-    if (!cpu::sched_kernel_from_string(kname.c_str(), rc.core.sched_kernel)) {
-      throw std::invalid_argument("unknown scheduler kernel '" + kname +
-                                  "' (expected issue-window or delay-queue)");
-    }
-  }
   if (args.has("iq")) rc.core.iq_entries = std::atoi(args.get("iq", "").c_str());
   if (args.has("rob")) rc.core.rob_entries = std::atoi(args.get("rob", "").c_str());
   if (args.has("phys")) rc.core.phys_regs = std::atoi(args.get("phys", "").c_str());
@@ -1023,8 +1016,8 @@ int main(int argc, char** argv) {
     if (args->command == "loadgen") return cmd_loadgen(*args);
     return usage();
   } catch (const std::invalid_argument& e) {
-    // Config validation (validate_core_config, --kernel parsing) reports the
-    // named constraint; anything else is a real bug and may terminate.
+    // Config validation (validate_core_config) reports the named
+    // constraint; anything else is a real bug and may terminate.
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
