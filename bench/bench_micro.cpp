@@ -366,8 +366,9 @@ void emit_kernel_json() {
 // ---- timeline-sampling overhead record ---------------------------------------
 
 /// Writes BENCH_timeline.json: steady-state kernel MIPS with and without an
-/// attached interval sampler at the default 10k-commit grain.  The CI guard
-/// asserts overhead_pct stays at or under 2%.  VASIM_TIMELINE_REPS /
+/// attached interval sampler at the default 10k-commit grain.  overhead_pct
+/// is a wall-time figure that moves by several percent between runs, so CI
+/// reports it and gates only the exact window count.  VASIM_TIMELINE_REPS /
 /// VASIM_TIMELINE_COMMITS shrink the measurement for smoke runs.
 void emit_timeline_json() {
   if (env_u64("VASIM_JSON", 1) == 0) return;

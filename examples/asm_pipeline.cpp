@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     if (trace_path != nullptr) {
       trace = std::make_unique<std::ofstream>(trace_path);
       writer = std::make_unique<cpu::KanataTraceWriter>(trace.get(), 5000);
-      pipe.set_observer(writer.get());
+      pipe.add_observer(writer.get());
     }
 
     u64 last_replays = 0;

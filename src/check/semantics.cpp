@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
-#include <stdexcept>
 
 #include "src/cpu/pipeline.hpp"
 
@@ -32,15 +31,7 @@ SemanticsChecker::SemanticsChecker(const cpu::CoreConfig& cfg, const cpu::Scheme
                   0);
 }
 
-void SemanticsChecker::attach(cpu::Pipeline& pipe) {
-  if (!cpu::kCheckHooksEnabled) {
-    throw std::runtime_error(
-        "SemanticsChecker: scheduler hooks compiled out (VASIM_CHECK_HOOKS=0); "
-        "a blind checker would silently pass");
-  }
-  pipe.add_observer(this);
-  pipe.set_check_hooks(this);
-}
+void SemanticsChecker::attach(cpu::Pipeline& pipe) { pipe.add_observer(this); }
 
 SemanticsChecker::Rec* SemanticsChecker::rec_of(SeqNum seq) {
   Rec& r = recs_[static_cast<u32>(seq) & rec_mask_];
@@ -117,7 +108,7 @@ bool SemanticsChecker::shadow_load_may_issue(const Rec& load) const {
   return best == nullptr || best->issued;
 }
 
-// ---- SchedHooks -----------------------------------------------------------
+// ---- PipelineObserver -----------------------------------------------------
 
 void SemanticsChecker::on_cycle_start(Cycle now, int slots_frozen, bool mem_blocked) {
   ++cycles_observed_;
@@ -455,8 +446,6 @@ void SemanticsChecker::on_completed(Cycle now, const cpu::InstState& is) {
         "completion before the tag broadcast", seq);
   r->completed = true;
   r->complete_pending = false;
-  last_hook_complete_ = seq;
-  have_hook_complete_ = true;
 }
 
 void SemanticsChecker::on_ep_stall(Cycle now, const cpu::InstState& is) {
@@ -507,8 +496,7 @@ void SemanticsChecker::on_committed(Cycle now, const cpu::InstState& is) {
     r->valid = false;
   }
   next_commit_seq_ = seq + 1;
-  last_hook_commit_ = seq;
-  have_hook_commit_ = true;
+  ++commits_observed_;
 }
 
 void SemanticsChecker::on_squashed(Cycle now, SeqNum first, SeqNum last) {
@@ -526,31 +514,6 @@ void SemanticsChecker::on_squashed(Cycle now, SeqNum first, SeqNum last) {
   next_dispatch_seq_ = first;
   if (any_dispatched_ && max_dispatched_seq_ >= first && first > 0) {
     max_dispatched_seq_ = first - 1;
-  }
-}
-
-// ---- PipelineObserver ------------------------------------------------------
-
-void SemanticsChecker::on_cycle(Cycle now) {
-  // The observer fan-out and the kernel hooks must describe the same cycle.
-  if (saw_cycle_start_) {
-    check(last_cycle_start_ == now, "hook-observer", now,
-          "observer on_cycle disagrees with the kernel's cycle start", 0);
-  }
-}
-
-void SemanticsChecker::on_complete(SeqNum seq) {
-  if (have_hook_complete_) {
-    check(last_hook_complete_ == seq, "hook-observer", last_cycle_start_,
-          "observer completion does not pair with the kernel completion", seq);
-  }
-}
-
-void SemanticsChecker::on_commit(SeqNum seq) {
-  ++commits_observed_;
-  if (have_hook_commit_) {
-    check(last_hook_commit_ == seq, "hook-observer", last_cycle_start_,
-          "observer commit does not pair with the kernel commit", seq);
   }
 }
 
@@ -635,10 +598,6 @@ void SemanticsChecker::save_state(snap::Writer& w) const {
   w.put_u64(max_dispatched_seq_);
   w.put_bool(any_dispatched_);
   w.put_u64(ep_stalls_owed_);
-  w.put_u64(last_hook_commit_);
-  w.put_bool(have_hook_commit_);
-  w.put_u64(last_hook_complete_);
-  w.put_bool(have_hook_complete_);
   w.put_u64(commits_observed_);
   w.put_u64(checks_);
 }
@@ -706,10 +665,6 @@ void SemanticsChecker::restore_state(snap::Reader& r) {
   max_dispatched_seq_ = r.get_u64();
   any_dispatched_ = r.get_bool();
   ep_stalls_owed_ = r.get_u64();
-  last_hook_commit_ = r.get_u64();
-  have_hook_commit_ = r.get_bool();
-  last_hook_complete_ = r.get_u64();
-  have_hook_complete_ = r.get_bool();
   commits_observed_ = r.get_u64();
   checks_ = r.get_u64();
 }

@@ -1,10 +1,9 @@
 // Runtime checker for the paper's cycle-level scheduling semantics.
 //
-// SemanticsChecker attaches to a Pipeline through both observation surfaces
-// -- the coarse PipelineObserver lifecycle fan-out and the fine-grained
-// SchedHooks kernel events -- and maintains its own shadow model of the
-// issue window, register-ready state, FU reservation table (FUSR) and LSQ
-// gating flags.  Every event is validated against the shadow model, turning
+// SemanticsChecker attaches to a Pipeline as one more PipelineObserver (the
+// pipeline's single event interface) and maintains its own shadow model of
+// the issue window, register-ready state, FU reservation table (FUSR) and
+// LSQ gating flags.  Every event is validated against the shadow model, turning
 // the paper's prose rules into machine-checked per-cycle invariants:
 //
 //   delayed-broadcast   VTE pads a predicted-faulty instruction by exactly
@@ -60,7 +59,6 @@
 #include <vector>
 
 #include "src/common/types.hpp"
-#include "src/cpu/check_hooks.hpp"
 #include "src/cpu/config.hpp"
 #include "src/cpu/hooks.hpp"
 #include "src/cpu/observer.hpp"
@@ -85,13 +83,11 @@ struct InvariantCount {
   u64 violations = 0;
 };
 
-class SemanticsChecker final : public cpu::PipelineObserver, public cpu::SchedHooks {
+class SemanticsChecker final : public cpu::PipelineObserver {
  public:
   SemanticsChecker(const cpu::CoreConfig& cfg, const cpu::SchemeConfig& scheme);
 
-  /// Attaches to both surfaces (ObserverMux + SchedHooks).  Throws when the
-  /// hooks were compiled out (VASIM_CHECK_HOOKS=0): a silently blind
-  /// checker would be worse than none.
+  /// Attaches to the pipeline's event stream (Pipeline::add_observer).
   void attach(cpu::Pipeline& pipe);
 
   [[nodiscard]] bool ok() const { return total_violations_ == 0; }
@@ -116,12 +112,7 @@ class SemanticsChecker final : public cpu::PipelineObserver, public cpu::SchedHo
   /// attached to the restored pipeline.
   void restore_state(snap::Reader& r);
 
-  // ---- PipelineObserver surface (coarse lifecycle cross-checks) ----------
-  void on_cycle(Cycle now) override;
-  void on_complete(SeqNum seq) override;
-  void on_commit(SeqNum seq) override;
-
-  // ---- SchedHooks surface -------------------------------------------------
+  // ---- PipelineObserver ------------------------------------------------------
   void on_cycle_start(Cycle now, int slots_frozen, bool mem_blocked) override;
   void on_global_stall(Cycle now, bool ep_padding) override;
   void on_dispatched(Cycle now, const cpu::InstState& is) override;
@@ -236,11 +227,6 @@ class SemanticsChecker final : public cpu::PipelineObserver, public cpu::SchedHo
   // EP stall accounting.
   u64 ep_stalls_owed_ = 0;
 
-  // Observer/hook pairing.
-  SeqNum last_hook_commit_ = 0;
-  bool have_hook_commit_ = false;
-  SeqNum last_hook_complete_ = 0;
-  bool have_hook_complete_ = false;
   u64 commits_observed_ = 0;
 
   u64 checks_ = 0;

@@ -32,10 +32,9 @@ namespace vasim::core::detail {
 class CommitTrailObserver final : public cpu::PipelineObserver {
  public:
   CommitTrailObserver(u64 stride, std::vector<Cycle>* out) : stride_(stride), out_(out) {}
-  void on_cycle(Cycle now) override { now_ = now; }
-  void on_commit(SeqNum) override {
+  void on_committed(Cycle now, const cpu::InstState&) override {
     ++commits_;
-    if (commits_ % stride_ == 0 && out_->size() < kMaxEntries) out_->push_back(now_);
+    if (commits_ % stride_ == 0 && out_->size() < kMaxEntries) out_->push_back(now);
   }
 
   [[nodiscard]] u64 commits() const { return commits_; }
@@ -49,7 +48,6 @@ class CommitTrailObserver final : public cpu::PipelineObserver {
   u64 stride_;
   std::vector<Cycle>* out_;
   u64 commits_ = 0;
-  Cycle now_ = 0;
 };
 
 /// Everything one simulation owns, constructed in place exactly as the

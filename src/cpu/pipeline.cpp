@@ -163,23 +163,21 @@ void Pipeline::broadcast(InstState& is) {
   // match because its sources all broadcast earlier.
   const int deps = window_.wake(is.phys_dst);
   if (deps > 0) c_wakeup_match_.inc(static_cast<u64>(deps));
-  fire([&](SchedHooks& h) { h.on_tag_broadcast(now_, is, deps); });
+  fire([&](PipelineObserver& o) { o.on_tag_broadcast(now_, is, deps); });
   if (predictor_ != nullptr && scheme_.use_predictor) {
     const bool critical = deps >= scheme_.criticality_threshold;
     predictor_->mark_critical(is.di.pc, is.tep_history, critical);
-    fire([&](SchedHooks& h) { h.on_mark_critical(now_, is, deps, critical); });
+    fire([&](PipelineObserver& o) { o.on_mark_critical(now_, is, deps, critical); });
   }
 }
 
 void Pipeline::process_events() {
   // Drain the one bucket due this cycle (the stored key advances by exactly
   // one per scheduling step; stall cycles move the shift instead).
-  if (obs::kProfHooksEnabled && profiler_ != nullptr) {
+  {
     // Sub-phase of kExecute (the enclosing scope): how much of event
     // processing is the wheel pop itself.
     const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kEventWheel);
-    due_n_ = wheel_.pop_due(now_ - event_shift_, due_);
-  } else {
     due_n_ = wheel_.pop_due(now_ - event_shift_, due_);
   }
   // Deterministic order: broadcasts, completes, EP stalls, replays; then age.
@@ -208,8 +206,7 @@ void Pipeline::process_events() {
         InstState* is = find(e.seq);
         if (is == nullptr) break;
         is->completed = true;
-        fire([&](SchedHooks& h) { h.on_completed(now_, *is); });
-        if (observer_ != nullptr) observer_->on_complete(e.seq);
+        fire([&](PipelineObserver& o) { o.on_completed(now_, *is); });
         if (fetch_blocked_on_ && *fetch_blocked_on_ == e.seq) {
           fetch_blocked_on_.reset();
           if (cfg_.model_wrong_path) squash_younger(e.seq, /*refetch_true_path=*/false);
@@ -225,7 +222,7 @@ void Pipeline::process_events() {
       case EventKind::kEpStall: {
         InstState* is = find(e.seq);
         if (is != nullptr) {
-          fire([&](SchedHooks& h) { h.on_ep_stall(now_, *is); });
+          fire([&](PipelineObserver& o) { o.on_ep_stall(now_, *is); });
           push_global_stall(1, obs::CpiCause::kEpStall);
           c_ep_stalls_.inc();
         }
@@ -241,7 +238,7 @@ void Pipeline::process_events() {
 void Pipeline::do_replay(SeqNum seq) {
   InstState* is = find(seq);
   if (is == nullptr || !is->replay_scheduled) return;
-  fire([&](SchedHooks& h) { h.on_replay(now_, *is); });
+  fire([&](PipelineObserver& o) { o.on_replay(now_, *is); });
   c_replays_.inc();
   train_predictor(*is, true);
 
@@ -310,9 +307,8 @@ void Pipeline::squash_younger(SeqNum last_kept, bool refetch_true_path) {
     window_.pop_back();
   }
   c_squash_.inc(squashed);
-  if (observer_ != nullptr && squashed > 0) observer_->on_squash(last_kept + 1, youngest);
   if (squashed > 0) {
-    fire([&](SchedHooks& h) { h.on_squashed(now_, last_kept + 1, youngest); });
+    fire([&](PipelineObserver& o) { o.on_squashed(now_, last_kept + 1, youngest); });
   }
 
   // Seq numbers above `last_kept` are recycled, so stale events for squashed
@@ -397,9 +393,8 @@ void Pipeline::commit_stage() {
     // Committed-path fault rate (Table 1's FR): an instruction counts when
     // its committed instance faulted or it is the safe re-execution of one.
     if (is.actual_fault || is.safe_mode) c_committed_faulty_.inc();
-    fire([&](SchedHooks& h) { h.on_committed(now_, is); });
+    fire([&](PipelineObserver& o) { o.on_committed(now_, is); });
     ++committed_;
-    if (observer_ != nullptr) observer_->on_commit(window_.head_seq());
     c_commit_.inc();
     c_cpi_[static_cast<std::size_t>(obs::CpiCause::kBase)].inc();
     window_.pop_front();
@@ -495,7 +490,9 @@ void Pipeline::select_stage() {
     bool fwd = false;
     if (is.di.op == isa::OpClass::kLoad) {
       if (!load_may_issue(is, &fwd)) {  // blocked by an older store
-        fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kLoadBlocked); });
+        fire([&](PipelineObserver& o) {
+          o.on_select_visit(now_, is, SelectOutcome::kLoadBlocked);
+        });
         return true;
       }
     }
@@ -503,14 +500,14 @@ void Pipeline::select_stage() {
       window_.on_issued(is.di.seq);
       --width;
       ++issued;
-      fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kIssued); });
+      fire([&](PipelineObserver& o) { o.on_select_visit(now_, is, SelectOutcome::kIssued); });
     } else {
-      fire([&](SchedHooks& h) { h.on_select_visit(now_, is, SelectOutcome::kFuBusy); });
+      fire([&](PipelineObserver& o) { o.on_select_visit(now_, is, SelectOutcome::kFuBusy); });
     }
     return true;
   };
   const auto note_pass = [&](int pass) {
-    fire([&](SchedHooks& h) { h.on_select_pass(now_, pass); });
+    fire([&](PipelineObserver& o) { o.on_select_pass(now_, pass); });
   };
 
   // Ring order is age order (ages are assigned at dispatch and squash pops
@@ -561,7 +558,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
     case isa::OpClass::kIntDiv: exec_lat = cfg_.div_latency; break;
     case isa::OpClass::kLoad: {
       c_lsq_search_.inc();
-      fire([&](SchedHooks& h) { h.on_lsq_search(now_, is); });
+      fire([&](PipelineObserver& o) { o.on_lsq_search(now_, is); });
       if (fwd) {
         exec_lat = 2;  // store-to-load forward
         c_stl_forward_.inc();
@@ -573,7 +570,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
     }
     case isa::OpClass::kStore:
       c_lsq_search_.inc();
-      fire([&](SchedHooks& h) { h.on_lsq_search(now_, is); });
+      fire([&](PipelineObserver& o) { o.on_lsq_search(now_, is); });
       break;
     default:
       break;
@@ -584,8 +581,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   if (faults_enabled() && !is.safe_mode && !is.wrong_path) {
     // Profiled as a sub-phase of kSelect (this runs inside the select
     // stage): how much wall-time the fault oracle costs.
-    const obs::Profiler::Scope prof(
-        obs::kProfHooksEnabled ? profiler_ : nullptr, obs::ProfPhase::kFaultCheck);
+    const obs::Profiler::Scope prof(profiler_, obs::ProfPhase::kFaultCheck);
     const timing::FaultClass cls = isa::is_mem(is.di.op) ? timing::FaultClass::kMemLike
                                                          : timing::FaultClass::kAluLike;
     const timing::FaultDecision d =
@@ -619,7 +615,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
 
   const int fu = fus_.allocate(is.di.op, now_, exec_lat + lat_delta, fu_extra);
   if (fu < 0) return false;  // structural hazard; retry next cycle
-  fire([&](SchedHooks& h) { h.on_fu_allocated(now_, is, fu, fus_.next_free(fu)); });
+  fire([&](PipelineObserver& o) { o.on_fu_allocated(now_, is, fu, fus_.next_free(fu)); });
   if (wb_slot_freeze) ++slots_frozen_next_;
   // LSQ CAM spacing (Sec 3.3.4): no load/store may perform a CAM search in
   // the cycle right behind a predicted-faulty memory-stage instruction.
@@ -630,7 +626,6 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   is.issued = true;
   is.in_iq = false;
   --iq_count_;
-  if (observer_ != nullptr) observer_->on_issue(is.di.seq, is.pred_fault);
   c_select_.inc();
   c_regread_.inc();
   // (ev.fu.* accounting happens inside FuPool::allocate.)
@@ -663,7 +658,7 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
   if (scheme_.use_predictor && !is.pred_fault && is.actual_fault) {
     c_fault_false_neg_.inc();
   }
-  fire([&](SchedHooks& h) { h.on_issued(now_, is, exec_lat, lat_delta); });
+  fire([&](PipelineObserver& o) { o.on_issued(now_, is, exec_lat, lat_delta); });
   return true;
 }
 
@@ -715,8 +710,7 @@ void Pipeline::dispatch_stage() {
     const bool p2 =
         is.phys_src2 != kNoReg && phys_ready_[static_cast<std::size_t>(is.phys_src2)] == 0;
 
-    if (observer_ != nullptr) observer_->on_dispatch(fi.seq);
-    fire([&](SchedHooks& h) { h.on_dispatched(now_, is); });
+    fire([&](PipelineObserver& o) { o.on_dispatched(now_, is); });
     window_.push_back(is, p1, p2);
     frontend_.pop_front();
     --budget;
@@ -744,7 +738,7 @@ void Pipeline::fetch_stage() {
       fi.history = bpred_.history();
       c_fetch_.inc();
       c_wrongpath_fetch_.inc();
-      if (observer_ != nullptr) observer_->on_fetch(fi.seq, fi.di);
+      fire([&](PipelineObserver& o) { o.on_fetched(now_, fi.seq, fi.di); });
       frontend_.push_back(fi);
       --wp_budget;
     }
@@ -835,7 +829,7 @@ void Pipeline::fetch_stage() {
         }
       }
     }
-    if (observer_ != nullptr) observer_->on_fetch(fi.seq, fi.di);
+    fire([&](PipelineObserver& o) { o.on_fetched(now_, fi.seq, fi.di); });
     frontend_.push_back(fi);
     --budget;
     if (blocked) break;
@@ -857,7 +851,7 @@ void Pipeline::apply_global_stall() {
     --stall_pending_ep_;
     cause = obs::CpiCause::kEpStall;
   }
-  fire([&](SchedHooks& h) { h.on_global_stall(now_, cause == obs::CpiCause::kEpStall); });
+  fire([&](PipelineObserver& o) { o.on_global_stall(now_, cause == obs::CpiCause::kEpStall); });
   c_cpi_[static_cast<std::size_t>(cause)].inc(static_cast<u64>(cfg_.commit_width));
   shift_all_times(1);
   c_stall_cycles_.inc();
@@ -878,36 +872,26 @@ bool Pipeline::step() {
   mem_blocked_now_ = mem_blocked_next_;
   mem_blocked_next_ = false;
 
-  fire([&](SchedHooks& h) { h.on_cycle_start(now_, slots_frozen_now_, mem_blocked_now_); });
-  if (observer_ != nullptr) observer_->on_cycle(now_);
-  if (obs::kProfHooksEnabled && profiler_ != nullptr) {
-    // The profiled stage sequence is a duplicate so the unprofiled path
-    // stays exactly as it was (zero-cost-when-off, like the check hooks).
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kExecute);
-      process_events();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kCommit);
-      commit_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kSelect);
-      select_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kDispatch);
-      dispatch_stage();
-    }
-    {
-      const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kFetch);
-      fetch_stage();
-    }
-  } else {
+  fire([&](PipelineObserver& o) { o.on_cycle_start(now_, slots_frozen_now_, mem_blocked_now_); });
+  // A detached profiler (null) makes each scope free of clock reads.
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kExecute);
     process_events();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kCommit);
     commit_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kSelect);
     select_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kDispatch);
     dispatch_stage();
+  }
+  {
+    const obs::Profiler::Scope s(profiler_, obs::ProfPhase::kFetch);
     fetch_stage();
   }
 

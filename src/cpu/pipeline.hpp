@@ -35,7 +35,6 @@
 #include "src/obs/timeline.hpp"
 #include "src/cpu/branch_pred.hpp"
 #include "src/cpu/cache.hpp"
-#include "src/cpu/check_hooks.hpp"
 #include "src/cpu/config.hpp"
 #include "src/cpu/fu_pool.hpp"
 #include "src/cpu/hooks.hpp"
@@ -139,25 +138,13 @@ class Pipeline {
   /// Cumulative CPI stack (commit-slot attribution) since construction.
   [[nodiscard]] obs::CpiStack cpi_stack() const;
 
-  /// Replaces all attached observers with `observer` (null detaches
-  /// everything).  Thin wrapper over the ObserverMux; non-owning.
-  void set_observer(PipelineObserver* observer) {
-    observer_mux_.clear();
-    add_observer(observer);
-  }
-  /// Attaches an additional lifecycle observer (e.g. a KanataTraceWriter
-  /// and a TraceObserver at the same time); non-owning, null ignored.
+  /// Attaches one more event observer (e.g. a KanataTraceWriter, a
+  /// TraceObserver and the semantics checker on the same run); events reach
+  /// observers in attach order.  Non-owning; null is ignored.  The pipeline
+  /// never reads back from an observer.
   void add_observer(PipelineObserver* observer) {
-    observer_mux_.add(observer);
-    observer_ = observer_mux_.as_observer();
+    if (observer != nullptr) observers_.push_back(observer);
   }
-
-  /// Attaches the fine-grained scheduler-kernel event sink (null detaches).
-  /// Non-owning; the pipeline never reads back from it.  Builds with
-  /// VASIM_CHECK_HOOKS=0 compile every emission site away; use
-  /// kCheckHooksEnabled to detect that configuration.
-  void set_check_hooks(SchedHooks* hooks) { hooks_ = hooks; }
-  [[nodiscard]] SchedHooks* check_hooks() const { return hooks_; }
 
   /// Attaches an interval sampler: `timeline` records one window at the
   /// first cycle boundary at or past each `interval`-commit threshold
@@ -178,11 +165,8 @@ class Pipeline {
   void set_clock(adapt::ClockDomain* clock);
   [[nodiscard]] adapt::ClockDomain* clock() const { return clock_; }
 
-  /// Attaches the wall-time self-profiler (null detaches).  Non-owning; a
-  /// no-op in builds with VASIM_PROF_HOOKS=0.
-  void set_profiler(obs::Profiler* profiler) {
-    profiler_ = obs::kProfHooksEnabled ? profiler : nullptr;
-  }
+  /// Attaches the wall-time self-profiler (null detaches).  Non-owning.
+  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
   [[nodiscard]] obs::Profiler* profiler() const { return profiler_; }
 
   [[nodiscard]] const MemoryHierarchy& memory() const { return memory_; }
@@ -239,13 +223,11 @@ class Pipeline {
   [[nodiscard]] bool faults_enabled() const;
   void train_predictor(const InstState& is, bool faulty);
 
-  /// Emits one SchedHooks event; the whole call folds away when the hooks
-  /// are compiled out, and costs a single predictable branch when detached.
+  /// Emits one event to every attached observer; one empty check when
+  /// nothing is attached.
   template <typename F>
   void fire(F&& f) const {
-    if constexpr (kCheckHooksEnabled) {
-      if (hooks_ != nullptr) f(*hooks_);
-    }
+    for (PipelineObserver* o : observers_) f(*o);
   }
 
   /// Samples the timeline when the cycle that just ended crossed a K-commit
@@ -276,9 +258,7 @@ class Pipeline {
   // ---- configuration -------------------------------------------------------
   CoreConfig cfg_;
   SchemeConfig scheme_;
-  PipelineObserver* observer_ = nullptr;
-  ObserverMux observer_mux_;
-  SchedHooks* hooks_ = nullptr;
+  std::vector<PipelineObserver*> observers_;
   obs::Timeline* timeline_ = nullptr;
   u64 timeline_interval_ = 0;
   u64 timeline_next_ = ~0ULL;  ///< next commit threshold; ~0 when detached

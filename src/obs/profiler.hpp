@@ -2,11 +2,11 @@
 //
 // Scoped steady-clock timers attribute host nanoseconds to the pipeline's
 // work phases (fetch/dispatch/select/execute/commit plus the fault-check and
-// event-wheel sub-phases).  The instrumentation follows the check_hooks
-// pattern: compiled in by default, removable with -DVASIM_PROF_HOOKS=0, and
-// when compiled in it costs one pointer null-check per phase until a
-// Profiler is attached -- results are bitwise unchanged either way, since
-// the profiler only reads the host clock, never simulator state.
+// event-wheel sub-phases).  The scopes are always compiled in, with no
+// compile-time gate: until Pipeline::set_profiler attaches a Profiler each
+// scope holds a null pointer and reads no clock.  Results are bitwise
+// unchanged either way, since the profiler only reads the host clock, never
+// simulator state.
 //
 // One Profiler per pipeline (single-threaded, like the Registry); sweep
 // workers each profile their own jobs and merge into a shared ProfilerHub,
@@ -14,10 +14,6 @@
 // whole-run attribution.
 #ifndef VASIM_OBS_PROFILER_HPP
 #define VASIM_OBS_PROFILER_HPP
-
-#ifndef VASIM_PROF_HOOKS
-#define VASIM_PROF_HOOKS 1
-#endif
 
 #include <array>
 #include <chrono>
@@ -30,9 +26,6 @@
 #include "src/common/types.hpp"
 
 namespace vasim::obs {
-
-/// True when the profiler emission sites are compiled in (the default).
-inline constexpr bool kProfHooksEnabled = VASIM_PROF_HOOKS != 0;
 
 /// Simulator work phases.  kFaultCheck is a sub-phase of kSelect (the
 /// fault-oracle query inside issue) and kEventWheel a sub-phase of kExecute

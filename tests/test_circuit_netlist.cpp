@@ -2,6 +2,8 @@
 // verified functionally through the gate simulator.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/circuit/builders.hpp"
 #include "src/circuit/gatesim.hpp"
 #include "src/common/rng.hpp"
@@ -111,6 +113,10 @@ struct AluCase {
   AluOp op;
   const char* name;
 };
+
+// Printed in place of the struct's bytes, which include the name pointer, so
+// that the test names are the same in every build and run.
+void PrintTo(const AluCase& c, std::ostream* os) { *os << c.name; }
 
 class AluOps : public ::testing::TestWithParam<AluCase> {};
 

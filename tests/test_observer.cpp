@@ -1,10 +1,14 @@
-// Tests for the pipeline observer hooks and the Kanata trace writer.
+// Tests for the pipeline event interface and the Kanata trace writer.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/core/job_context.hpp"
+#include "src/core/tep.hpp"
 #include "src/cpu/observer.hpp"
 #include "src/cpu/pipeline.hpp"
 #include "src/isa/assembler.hpp"
@@ -16,6 +20,15 @@
 namespace vasim::cpu {
 namespace {
 
+u64 fnv1a(std::string_view bytes) {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<u8>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 /// Counts lifecycle events and checks per-instruction ordering.
 struct CountingObserver final : PipelineObserver {
   u64 fetches = 0, dispatches = 0, issues = 0, completes = 0, commits = 0, squashed = 0;
@@ -26,28 +39,28 @@ struct CountingObserver final : PipelineObserver {
     EXPECT_EQ(state[static_cast<std::size_t>(seq)], expect) << "seq " << seq;
     state[static_cast<std::size_t>(seq)] = next;
   }
-  void on_fetch(SeqNum seq, const isa::DynInst&) override {
+  void on_fetched(Cycle, SeqNum seq, const isa::DynInst&) override {
     ++fetches;
     if (state.size() <= seq) state.resize(static_cast<std::size_t>(seq) + 1, 0);
     state[static_cast<std::size_t>(seq)] = 1;  // refetch after squash resets
   }
-  void on_dispatch(SeqNum seq) override {
+  void on_dispatched(Cycle, const InstState& is) override {
     ++dispatches;
-    bump(seq, 1, 2);
+    bump(is.di.seq, 1, 2);
   }
-  void on_issue(SeqNum seq, bool) override {
+  void on_issued(Cycle, const InstState& is, Cycle, Cycle) override {
     ++issues;
-    bump(seq, 2, 3);
+    bump(is.di.seq, 2, 3);
   }
-  void on_complete(SeqNum seq) override {
+  void on_completed(Cycle, const InstState& is) override {
     ++completes;
-    bump(seq, 3, 4);
+    bump(is.di.seq, 3, 4);
   }
-  void on_commit(SeqNum seq) override {
+  void on_committed(Cycle, const InstState& is) override {
     ++commits;
-    bump(seq, 4, 5);
+    bump(is.di.seq, 4, 5);
   }
-  void on_squash(SeqNum first, SeqNum last) override { squashed += last - first + 1; }
+  void on_squashed(Cycle, SeqNum first, SeqNum last) override { squashed += last - first + 1; }
 };
 
 TEST(Observer, LifecycleOrderingFaultFree) {
@@ -56,7 +69,7 @@ TEST(Observer, LifecycleOrderingFaultFree) {
   CoreConfig cfg;
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   CountingObserver obs;
-  p.set_observer(&obs);
+  p.add_observer(&obs);
   const PipelineResult r = p.run(5000);
   EXPECT_EQ(r.committed, 5000u);
   EXPECT_EQ(obs.commits, 5000u);
@@ -76,7 +89,7 @@ TEST(Observer, SquashEventsUnderReplay) {
   CoreConfig cfg;
   Pipeline p(cfg, razor, &g, &fm, nullptr);
   CountingObserver obs;
-  p.set_observer(&obs);
+  p.add_observer(&obs);
   const PipelineResult r = p.run(5000);
   EXPECT_EQ(r.committed, 5000u);
   EXPECT_GT(obs.squashed, 0u);
@@ -100,7 +113,7 @@ TEST(Kanata, WellFormedTrace) {
   Pipeline p(cfg, scheme_fault_free(), &src, nullptr, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 1000);
-  p.set_observer(&writer);
+  p.add_observer(&writer);
   p.run(1'000'000);
 
   const std::string t = trace.str();
@@ -130,7 +143,7 @@ TEST(Kanata, SquashEmitsFlushRetirementsAndRefetchRestartsRows) {
   Pipeline p(cfg, razor, &g, &fm, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 100'000);
-  p.set_observer(&writer);
+  p.add_observer(&writer);
   const PipelineResult r = p.run(5000);
   ASSERT_GT(r.stats.count("ev.squash"), 0u) << "test needs at least one squash";
 
@@ -169,13 +182,13 @@ TEST(Kanata, MicroReplayHasNoFlushRecords) {
   Pipeline p(cfg, scheme_razor(), &g, &fm, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 100'000);
-  p.set_observer(&writer);
+  p.add_observer(&writer);
   const PipelineResult r = p.run(3000);
   ASSERT_GT(r.stats.count("fault.replays"), 0u) << "test needs at least one replay";
   EXPECT_EQ(trace.str().find("\t0\t1\n"), std::string::npos) << "no flushed retirements";
 }
 
-TEST(ObserverMux, FansEventsOutToEveryObserver) {
+TEST(Observer, PipelineFansEventsOutToEveryObserver) {
   const auto prof = workload::spec2006_profile("gobmk");
   workload::TraceGenerator g(prof);
   CoreConfig cfg;
@@ -190,19 +203,6 @@ TEST(ObserverMux, FansEventsOutToEveryObserver) {
   EXPECT_EQ(a.issues, b.issues);
 }
 
-TEST(ObserverMux, SetObserverReplacesInsteadOfAccumulating) {
-  const auto prof = workload::spec2006_profile("gobmk");
-  workload::TraceGenerator g(prof);
-  CoreConfig cfg;
-  Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
-  CountingObserver old_obs, new_obs;
-  p.set_observer(&old_obs);
-  p.set_observer(&new_obs);
-  const PipelineResult r = p.run(1000);
-  EXPECT_EQ(old_obs.commits, 0u) << "replaced observer must see nothing";
-  EXPECT_EQ(new_obs.commits, r.committed);
-}
-
 TEST(Kanata, CapsLogSize) {
   const auto prof = workload::spec2006_profile("bzip2");
   workload::TraceGenerator g(prof);
@@ -210,9 +210,68 @@ TEST(Kanata, CapsLogSize) {
   Pipeline p(cfg, scheme_fault_free(), &g, nullptr, nullptr);
   std::ostringstream trace;
   KanataTraceWriter writer(&trace, 50);
-  p.set_observer(&writer);
+  p.add_observer(&writer);
   p.run(5000);
   EXPECT_EQ(writer.instructions_logged(), 50u);
+}
+
+struct TraceDigests {
+  u64 kanata = 0;
+  u64 perfetto = 0;
+  u64 trail = 0;
+  bool flushed = false;         ///< a Kanata type-1 (squash) retirement
+  bool predicted_faulty = false;  ///< a Kanata predicted-faulty label
+};
+
+/// Runs gobmk at 0.97 V with a Kanata writer, a Perfetto observer and a
+/// commit trail attached, and digests the three outputs.
+TraceDigests digest_run(const SchemeConfig& scheme, bool with_tep) {
+  const auto prof = workload::spec2006_profile("gobmk");
+  workload::TraceGenerator g(prof);
+  timing::PathModelConfig pcfg{prof.seed, 0.12, 0.04};
+  const timing::FaultModel fm(pcfg, 0.97);
+  core::TimingErrorPredictor tep({}, &fm.environment());
+  CoreConfig cfg;
+  Pipeline p(cfg, scheme, &g, &fm, with_tep ? &tep : nullptr);
+  std::ostringstream kanata_out, perfetto_out;
+  KanataTraceWriter kanata(&kanata_out, 100'000);
+  obs::ChromeTraceWriter chrome(&perfetto_out);
+  TraceObserver perfetto(&chrome, 100'000);
+  std::vector<Cycle> trail;
+  core::detail::CommitTrailObserver trail_obs(100, &trail);
+  p.add_observer(&kanata);
+  p.add_observer(&perfetto);
+  p.add_observer(&trail_obs);
+  const PipelineResult r = p.run(5000);
+  chrome.finish();
+  EXPECT_EQ(r.committed, 5000u);
+  EXPECT_EQ(trail.size(), 50u);
+  std::string trail_bytes;
+  for (const Cycle c : trail) trail_bytes += std::to_string(c) + ",";
+  const std::string k = kanata_out.str();
+  return {fnv1a(k), fnv1a(perfetto_out.str()), fnv1a(trail_bytes),
+          k.find("\t0\t1\n") != std::string::npos,
+          k.find("[predicted faulty]") != std::string::npos};
+}
+
+// Pins the exact bytes of both trace formats and the commit trail, so a
+// change to how the pipeline publishes events cannot move what the
+// observers write.  Squash-refetch Razor exercises the squash and refetch
+// rows; ABS with a TEP exercises predicted-faulty issue annotations.
+TEST(TraceBytes, KanataPerfettoAndTrailDigestsArePinned) {
+  SchemeConfig razor = scheme_razor();
+  razor.recovery = RecoveryModel::kSquashRefetch;
+  const TraceDigests rz = digest_run(razor, /*with_tep=*/false);
+  EXPECT_TRUE(rz.flushed);
+  EXPECT_EQ(rz.kanata, 0x732566646bcf4758ULL);
+  EXPECT_EQ(rz.perfetto, 0xec0bb20301b70140ULL);
+  EXPECT_EQ(rz.trail, 0x0b51dcb4eac6bce0ULL);
+
+  const TraceDigests abs = digest_run(scheme_abs(), /*with_tep=*/true);
+  EXPECT_TRUE(abs.predicted_faulty);
+  EXPECT_EQ(abs.kanata, 0x5fe2438b5834d685ULL);
+  EXPECT_EQ(abs.perfetto, 0xd68beab4aebb6beeULL);
+  EXPECT_EQ(abs.trail, 0x2f8e1074c8e6b904ULL);
 }
 
 }  // namespace

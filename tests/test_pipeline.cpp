@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -193,6 +194,11 @@ struct SchemeCase {
   const char* scheme;
   double vdd;
 };
+
+// Printed in place of the struct's bytes, which include the scheme pointer,
+// so that the test names are the same in every build and run.  The scheme is
+// already in the name suffix; the supply keeps the full name short.
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.vdd << " V"; }
 
 class SchemeSweep : public ::testing::TestWithParam<SchemeCase> {
  protected:

