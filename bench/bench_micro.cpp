@@ -291,11 +291,18 @@ void emit_stats_overhead_json() {
 
 // ---- scheduler-kernel record -----------------------------------------------
 
+/// One steady-state measurement of the step() loop.
+struct KernelSteady {
+  double mips = 0.0;  ///< committed instructions per second of the timed region
+  u64 windows = 0;    ///< timeline windows sampled inside the timed region
+};
+
 /// Steady-state simulated MIPS of the step() loop (warmup and construction
 /// excluded), replaying the shared trace buffer.  `timeline_interval > 0`
 /// attaches an interval sampler before warmup, so the timed region measures
-/// the sampler's steady-state cost.
-double kernel_steady_mips(bool with_faults, u64 measure_commits, u64 timeline_interval = 0) {
+/// the sampler's steady-state cost, and `windows` counts what it sampled.
+KernelSteady kernel_steady_mips(bool with_faults, u64 measure_commits,
+                                u64 timeline_interval = 0) {
   const auto prof = workload::spec2006_profile("sjeng");
   ReplaySource src(&kernel_trace_buffer());
   cpu::CoreConfig cfg;
@@ -315,10 +322,14 @@ double kernel_steady_mips(bool with_faults, u64 measure_commits, u64 timeline_in
     p.set_timeline(&*tl, timeline_interval);
   }
   while (p.committed() < kWarm) p.step();
+  const std::size_t windows_before = tl ? tl->windows() : 0;
   const auto t0 = std::chrono::steady_clock::now();
   while (p.committed() < kWarm + measure_commits) p.step();
   const auto t1 = std::chrono::steady_clock::now();
-  return static_cast<double>(measure_commits) / std::chrono::duration<double>(t1 - t0).count();
+  KernelSteady k;
+  k.mips = static_cast<double>(measure_commits) / std::chrono::duration<double>(t1 - t0).count();
+  k.windows = tl ? static_cast<u64>(tl->windows() - windows_before) : 0;
+  return k;
 }
 
 /// Writes BENCH_kernel.json: steady-state cycle-loop MIPS for the SoA
@@ -336,8 +347,8 @@ void emit_kernel_json() {
   double best_ff = 0.0;
   double best_abs = 0.0;
   for (int r = 0; r < reps; ++r) {
-    best_ff = std::max(best_ff, kernel_steady_mips(false, measure));
-    best_abs = std::max(best_abs, kernel_steady_mips(true, measure));
+    best_ff = std::max(best_ff, kernel_steady_mips(false, measure).mips);
+    best_abs = std::max(best_abs, kernel_steady_mips(true, measure).mips);
   }
 
   std::ofstream out("BENCH_kernel.json");
@@ -378,9 +389,12 @@ void emit_timeline_json() {
 
   double best_off = 0.0;
   double best_on = 0.0;
+  u64 windows = 0;  // what the attached sampler recorded (replay is deterministic)
   for (int r = 0; r < reps; ++r) {
-    best_off = std::max(best_off, kernel_steady_mips(true, measure));
-    best_on = std::max(best_on, kernel_steady_mips(true, measure, kInterval));
+    best_off = std::max(best_off, kernel_steady_mips(true, measure).mips);
+    const KernelSteady on = kernel_steady_mips(true, measure, kInterval);
+    best_on = std::max(best_on, on.mips);
+    windows = on.windows;
   }
   const double overhead_pct = best_on > 0.0 ? (best_off / best_on - 1.0) * 100.0 : 0.0;
 
@@ -400,7 +414,7 @@ void emit_timeline_json() {
                 "}\n",
                 static_cast<unsigned long long>(kInterval),
                 static_cast<unsigned long long>(measure), best_off, best_on, overhead_pct,
-                static_cast<unsigned long long>(measure / kInterval));
+                static_cast<unsigned long long>(windows));
   out << buf;
   out.close();
   copy_to_results("BENCH_timeline.json");

@@ -18,6 +18,7 @@ Pipeline::Pipeline(const CoreConfig& cfg, const SchemeConfig& scheme,
     : cfg_(cfg), scheme_(scheme), source_(source), fault_model_(fault_model),
       predictor_(predictor), memory_(cfg, &registry_), bpred_(cfg), fus_(cfg, &registry_) {
   validate_core_config(cfg_);
+  if (fault_model_ != nullptr) fault_memo_.emplace(*fault_model_);
   rename_map_.resize(isa::kNumArchRegs);
   for (int a = 0; a < isa::kNumArchRegs; ++a) rename_map_[static_cast<std::size_t>(a)] = a;
   free_list_.reserve(static_cast<std::size_t>(cfg_.phys_regs));
@@ -563,6 +564,8 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
         exec_lat = 2;  // store-to-load forward
         c_stl_forward_.inc();
       } else {
+        // Probes the D-cache (and may prefetch) before the FU is granted, so
+        // a load refused a port repeats the probe on every retry cycle.
         exec_lat = 1 + memory_.load_latency(is.di.mem_addr);
         c_dcache_read_.inc();
       }
@@ -574,23 +577,6 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
       break;
     default:
       break;
-  }
-
-  // Fault oracle (Section 4.3) -- decided as the instruction engages the
-  // OoO stages.
-  if (faults_enabled() && !is.safe_mode && !is.wrong_path) {
-    // Profiled as a sub-phase of kSelect (this runs inside the select
-    // stage): how much wall-time the fault oracle costs.
-    const obs::Profiler::Scope prof(profiler_, obs::ProfPhase::kFaultCheck);
-    const timing::FaultClass cls = isa::is_mem(is.di.op) ? timing::FaultClass::kMemLike
-                                                         : timing::FaultClass::kAluLike;
-    const timing::FaultDecision d =
-        clock_ == nullptr
-            ? fault_model_->query(is.di.pc, cls, now_)
-            : fault_model_->query_adaptive(is.di.pc, cls, now_, clock_period_scale_,
-                                           operand_signature(is.di));
-    is.actual_fault = d.faulty;
-    is.actual_stage = d.stage;
   }
 
   // VTE: predicted-faulty instructions take one extra cycle in their faulty
@@ -615,6 +601,26 @@ bool Pipeline::issue_one(InstState& is, bool fwd) {
 
   const int fu = fus_.allocate(is.di.op, now_, exec_lat + lat_delta, fu_extra);
   if (fu < 0) return false;  // structural hazard; retry next cycle
+
+  // Fault oracle (Section 4.3) -- decided as the instruction engages the
+  // OoO stages.  Asked only once the FU is granted: a refused attempt would
+  // be asked again next cycle with the same safe_mode/wrong_path, and
+  // nothing above reads the verdict.
+  if (faults_enabled() && !is.safe_mode && !is.wrong_path) {
+    // Profiled as a sub-phase of kSelect (this runs inside the select
+    // stage): how much wall-time the fault oracle costs.
+    const obs::Profiler::Scope prof(profiler_, obs::ProfPhase::kFaultCheck);
+    const timing::FaultClass cls = isa::is_mem(is.di.op) ? timing::FaultClass::kMemLike
+                                                         : timing::FaultClass::kAluLike;
+    const double state =
+        clock_ == nullptr
+            ? 1.0
+            : fault_model_->state_factor(is.di.pc, operand_signature(is.di), cls);
+    const timing::FaultDecision d =
+        fault_memo_->query(is.di.pc, cls, now_, state, clock_period_scale_);
+    is.actual_fault = d.faulty;
+    is.actual_stage = d.stage;
+  }
   fire([&](PipelineObserver& o) { o.on_fu_allocated(now_, is, fu, fus_.next_free(fu)); });
   if (wb_slot_freeze) ++slots_frozen_next_;
   // LSQ CAM spacing (Sec 3.3.4): no load/store may perform a CAM search in
@@ -777,13 +783,11 @@ void Pipeline::fetch_stage() {
     // In-order engine faults (Section 2.2): rename/dispatch/retire use the
     // TEP-driven stall signal (the faulty stage completes in two cycles
     // while its inputs recirculate); fetch/decode faults always replay.
+    // Without a clock, faults_enabled() already implies the supply can
+    // fault, so query_inorder's enabled() gate is redundant here.
     if (scheme_.inorder_fault_scale > 0.0 && faults_enabled()) {
-      const timing::InOrderFaultDecision iod =
-          clock_ == nullptr
-              ? fault_model_->query_inorder(fi.di.pc, now_, scheme_.inorder_fault_scale)
-              : fault_model_->query_inorder_adaptive(fi.di.pc, now_,
-                                                     scheme_.inorder_fault_scale,
-                                                     clock_period_scale_);
+      const timing::InOrderFaultDecision iod = fault_model_->query_inorder_adaptive(
+          fi.di.pc, now_, scheme_.inorder_fault_scale, clock_period_scale_);
       if (iod.faulty) {
         switch (iod.stage) {
           case timing::InOrderStage::kFetch:

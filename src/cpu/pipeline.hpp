@@ -269,6 +269,7 @@ class Pipeline {
   obs::Profiler* profiler_ = nullptr;
   isa::InstructionSource* source_;
   const timing::FaultModel* fault_model_;
+  std::optional<timing::FaultMemo> fault_memo_;  ///< set iff fault_model_ is
   FaultPredictor* predictor_;
 
   // ---- metrics --------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/check/semantics.hpp"
+#include "src/core/tep.hpp"
 #include "src/cpu/pipeline.hpp"
 #include "src/cpu/sched_kernel.hpp"
 #include "src/isa/program.hpp"
@@ -372,10 +373,15 @@ TEST(SchedAbsTimestamp, WrappedDistanceRecoversOldestFirstOrder) {
 /// a mix of ALU, loads, stores, mul/div and a loop branch.
 class FlatSource final : public isa::InstructionSource {
  public:
+  /// A non-zero `alias_stride` moves each pass over the 97-instruction
+  /// loop to a fresh copy `alias_stride` bytes past the previous one, so
+  /// static PCs never repeat.
+  explicit FlatSource(Pc alias_stride = 0) : alias_stride_(alias_stride) {}
+
   bool next(isa::DynInst& out) override {
     const u64 i = n_++;
     out = isa::DynInst{};
-    out.pc = 0x1000 + (i % 97) * isa::kInstrBytes;
+    out.pc = 0x1000 + (i % 97) * isa::kInstrBytes + (i / 97) * alias_stride_;
     out.next_pc = out.pc + isa::kInstrBytes;
     out.src1 = 1 + static_cast<int>(i % 7);
     out.dst = 1 + static_cast<int>((i * 5) % 11);
@@ -410,6 +416,7 @@ class FlatSource final : public isa::InstructionSource {
   [[nodiscard]] std::string name() const override { return "flat"; }
 
  private:
+  Pc alias_stride_;
   u64 n_ = 0;
 };
 
@@ -528,13 +535,10 @@ TEST_P(SchedWheelSquashSkipAtSize, FilterSquashedSkipsAndDropsCorrectBuckets) {
 INSTANTIATE_TEST_SUITE_P(WheelSizes, SchedWheelSquashSkipAtSize,
                          ::testing::Values(64u, 256u, 512u));
 
-TEST(SchedKernelAllocations, SteadyStateCycleLoopIsAllocationFree) {
-  FlatSource src;
-  cpu::CoreConfig cfg;
-  cpu::SchemeConfig scheme = cpu::scheme_razor();
-  cpu::Pipeline p(cfg, scheme, &src, nullptr, nullptr);
-  // Warm up past cold-start (cache fills, branch predictor training, the
-  // deepest load-miss events in flight).
+/// Steps `p` past cold start (cache fills, branch predictor training, the
+/// deepest load-miss events in flight), then asserts 20k more cycles make
+/// no heap allocation and commit more than `min_committed` instructions.
+void expect_steady_state_allocation_free(cpu::Pipeline& p, u64 min_committed) {
   for (int i = 0; i < 5'000; ++i) {
     ASSERT_TRUE(p.step());
   }
@@ -545,7 +549,26 @@ TEST(SchedKernelAllocations, SteadyStateCycleLoopIsAllocationFree) {
   const u64 after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "cycle loop allocated " << (after - before) << " times in 20k cycles";
-  EXPECT_GT(p.committed(), 10'000u);  // the loop did real work
+  EXPECT_GT(p.committed(), min_committed);  // the loop did real work
+}
+
+TEST(SchedKernelAllocations, SteadyStateCycleLoopIsAllocationFree) {
+  FlatSource src;
+  cpu::CoreConfig cfg;
+  cpu::Pipeline p(cfg, cpu::scheme_razor(), &src, nullptr, nullptr);
+  expect_steady_state_allocation_free(p, 10'000);
+
+  // Faulting ABS with a TEP: the fault oracle's memo is allocated once at
+  // construction.  Every pass runs a new code copy one memo table past the
+  // last, so each lookup meets a PC never seen before in an occupied slot
+  // (and every fetch line is cold, hence the low commit floor).
+  FlatSource wide(timing::FaultMemo::kSlots * isa::kInstrBytes);
+  const timing::FaultModel fm(timing::PathModelConfig{7, 0.10, 0.03},
+                              timing::SupplyPoints::kHighFault);
+  core::TimingErrorPredictor tep({}, &fm.environment());
+  cpu::Pipeline abs(cfg, cpu::scheme_abs(), &wide, &fm, &tep);
+  expect_steady_state_allocation_free(abs, 500);
+  EXPECT_GT(abs.registry().counter_value("fault.actual"), 0u);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "src/common/stats.hpp"
 #include "src/timing/fault_model.hpp"
 #include "src/timing/path_model.hpp"
 #include "src/timing/process_variation.hpp"
 #include "src/timing/sensors.hpp"
+#include "src/timing/state_delay.hpp"
 #include "src/timing/voltage.hpp"
 
 namespace vasim::timing {
@@ -283,6 +285,101 @@ TEST(FaultModel, StageStableAcrossInstances) {
     const OooStage s = fm.query(pc, FaultClass::kAluLike, 1).stage;
     for (Cycle c = 2; c < 50; ++c) {
       EXPECT_EQ(fm.query(pc, FaultClass::kAluLike, c).stage, s);
+    }
+  }
+}
+
+// ---- per-run oracle memo ----------------------------------------------------
+
+/// PCs that all map to one memo slot (same pc >> 2 modulo the table size),
+/// for a few slots, interleaved so every lookup evicts its predecessor.
+std::vector<Pc> colliding_pcs() {
+  std::vector<Pc> pcs;
+  constexpr Pc kStride = static_cast<Pc>(FaultMemo::kSlots) * 4;
+  for (Pc base = 0x400000; base < 0x400000 + 64 * 4; base += 4) {
+    for (Pc k = 0; k < 4; ++k) pcs.push_back(base + k * kStride);
+    pcs.push_back(base + (Pc{0xdead} << 40));  // high bits differ, same slot
+  }
+  return pcs;
+}
+
+/// Cycles crossing droop epochs (16 cycles): from cycle 0, around the
+/// thermal wave's trough and across its period boundary (20000 cycles).
+std::vector<Cycle> epoch_crossing_cycles() {
+  std::vector<Cycle> cycles;
+  for (const Cycle start : {Cycle{0}, Cycle{14'980}, Cycle{19'970}}) {
+    for (Cycle c = start; c < start + 60; ++c) cycles.push_back(c);
+  }
+  return cycles;
+}
+
+void expect_same(const FaultDecision& memo, const FaultDecision& ref, Pc pc, Cycle c) {
+  EXPECT_EQ(memo.faulty, ref.faulty) << std::hex << pc << std::dec << " @" << c;
+  EXPECT_EQ(memo.core_faulty, ref.core_faulty) << std::hex << pc << std::dec << " @" << c;
+  EXPECT_EQ(memo.stage, ref.stage) << std::hex << pc << std::dec << " @" << c;
+  EXPECT_EQ(memo.path_factor, ref.path_factor) << std::hex << pc << std::dec << " @" << c;
+}
+
+TEST(FaultMemo, MatchesQueryBitForBitAcrossSlotCollisions) {
+  const std::vector<Pc> pcs = colliding_pcs();
+  for (const double vdd : {SupplyPoints::kHighFault, SupplyPoints::kLowFault,
+                           SupplyPoints::kNominal}) {
+    const FaultModel fm(PathModelConfig{29, 0.10, 0.03}, vdd);
+    FaultMemo memo(fm);
+    u64 faults = 0;
+    std::set<Pc> flipped;  // PCs whose verdict changed with the cycle
+    for (const Pc pc : pcs) {
+      for (const FaultClass cls : {FaultClass::kAluLike, FaultClass::kMemLike}) {
+        const bool first = fm.query(pc, cls, 0).faulty;
+        for (const Cycle c : epoch_crossing_cycles()) {
+          const FaultDecision ref = fm.query(pc, cls, c);
+          expect_same(memo.query(pc, cls, c, 1.0, 1.0), ref, pc, c);
+          faults += ref.faulty ? 1 : 0;
+          if (ref.faulty != first) flipped.insert(pc);
+        }
+      }
+    }
+    if (vdd == SupplyPoints::kNominal) {
+      EXPECT_EQ(faults, 0u);
+    } else {
+      EXPECT_GT(faults, 0u) << vdd << " V";
+    }
+    if (vdd == SupplyPoints::kHighFault) {
+      EXPECT_FALSE(flipped.empty()) << "no boundary PC: modulation never exercised";
+    }
+  }
+}
+
+TEST(FaultMemo, MatchesAdaptiveQueryWithStateModel) {
+  FaultModel fm(PathModelConfig{31, 0.10, 0.03}, SupplyPoints::kLowFault);
+  ProcessConfig pcfg;
+  pcfg.seed = 5;
+  const StateDelayModel sd(StateDelayConfig{}, ProcessVariation(pcfg), SupplyPoints::kLowFault);
+  fm.set_state_model(&sd);
+  FaultMemo memo(fm);
+  u64 faults = 0;
+  for (const double period : {0.97, 1.0, 1.02}) {
+    for (const Cycle c : epoch_crossing_cycles()) {
+      for (const Pc pc : colliding_pcs()) {
+        const u64 sig = hash_combine(pc, c);  // a fresh operand state per instance
+        for (const FaultClass cls : {FaultClass::kAluLike, FaultClass::kMemLike}) {
+          const FaultDecision ref = fm.query_adaptive(pc, cls, c, period, sig);
+          expect_same(memo.query(pc, cls, c, fm.state_factor(pc, sig, cls), period), ref, pc,
+                      c);
+          faults += ref.faulty ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(faults, 0u);
+}
+
+TEST(FaultModel, StaticQueryIsAdaptiveAtNominalPeriodWithoutStateModel) {
+  const FaultModel fm(PathModelConfig{37, 0.10, 0.03}, SupplyPoints::kHighFault);
+  for (const Pc pc : colliding_pcs()) {
+    for (const Cycle c : epoch_crossing_cycles()) {
+      expect_same(fm.query(pc, FaultClass::kMemLike, c),
+                  fm.query_adaptive(pc, FaultClass::kMemLike, c, 1.0, c), pc, c);
     }
   }
 }

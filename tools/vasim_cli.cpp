@@ -68,6 +68,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -106,11 +107,43 @@ struct Args {
   [[nodiscard]] bool has(const std::string& key) const { return options.count(key) != 0; }
 };
 
+/// `keys` plus runner_config's, which every command that builds a run reads.
+std::set<std::string> with_runner_keys(std::set<std::string> keys) {
+  keys.insert({"instr", "warmup", "predictor", "timeline-interval", "iq", "rob", "phys", "dvfs",
+               "epoch", "period-min", "period-max"});
+  return keys;
+}
+
+/// The --keys each command reads; any other key is refused by name rather
+/// than silently ignored.  Null for an unknown command (usage handles it).
+const std::set<std::string>* accepted_keys(const std::string& command) {
+  static const std::map<std::string, std::set<std::string>> kKeys = {
+      {"list", {}},
+      {"run", with_runner_keys({"bench", "scheme", "vdd", "from-snapshot", "kanata", "trace",
+                                "timeline", "stats", "csv", "cpi", "progress", "profile"})},
+      {"sweep", with_runner_keys({"bench", "jobs", "batch", "shard", "json", "trace", "cpi",
+                                  "progress", "reuse-warmup", "profile"})},
+      {"record", {"bench", "out", "instr"}},
+      {"replay", with_runner_keys({"trace", "scheme", "vdd", "seed"})},
+      {"serve", with_runner_keys({"listen", "workers", "queue", "cache", "max-cells", "profile"})},
+      {"loadgen", {"connect", "clients", "jobs", "cells", "interval", "cancel-frac", "seed",
+                   "instr", "warmup", "benches", "schemes", "vdds", "json", "shutdown"}},
+      {"snap save", with_runner_keys({"bench", "scheme", "out", "vdd", "at"})},
+  };
+  const auto it = kKeys.find(command);
+  return it == kKeys.end() ? nullptr : &it->second;
+}
+
 bool parse_options(int start, int argc, char** argv, Args& a) {
+  const std::set<std::string>* accepted = accepted_keys(a.command);
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) return false;
     key = key.substr(2);
+    if (accepted != nullptr && accepted->count(key) == 0) {
+      throw std::invalid_argument("unknown option --" + key + " for 'vasim " + a.command +
+                                  "'");
+    }
     if (key == "stats" || key == "csv" || key == "cpi" || key == "progress" ||
         key == "reuse-warmup" || key == "profile" || key == "shutdown") {
       a.options[key] = "1";
@@ -992,7 +1025,7 @@ int cmd_snap(int argc, char** argv) {
   }
   if (sub == "save") {
     Args a;
-    a.command = "snap-save";
+    a.command = "snap save";
     if (!parse_options(3, argc, argv, a)) return usage();
     return cmd_snap_save(a);
   }
